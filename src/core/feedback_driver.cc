@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
+#include "common/flat_int64_map.h"
 #include "common/string_util.h"
+#include "exec/predicate_kernel.h"
 #include "obs/op_profile.h"
 
 namespace dpcf {
@@ -20,77 +21,88 @@ FeedbackDriver::FeedbackDriver(Database* db, StatisticsCatalog* stats,
       db_->journal());
 }
 
-int64_t ExactCardinality(DiskManager* disk, const Table& table,
-                         const Predicate& pred) {
-  int64_t count = 0;
+namespace {
+// Hands `visit` every non-empty page image of `table` bound to one
+// RowBlock. Pages are read through the charging RawPage, one read per page.
+template <typename Visit>
+void ForEachPage(DiskManager* disk, const Table& table, Visit&& visit) {
   const HeapFile* file = table.file();
-  const Schema* schema = &table.schema();
+  RowBlock block(&table.schema());
   for (PageNo p = 0; p < file->page_count(); ++p) {
     const char* page = disk->RawPage(PageId{file->segment(), p});
-    uint32_t n = HeapFile::PageRowCount(page);
-    for (uint16_t s = 0; s < n; ++s) {
-      RowView row(file->RowInPage(page, s), schema);
-      bool pass = true;
-      for (const PredicateAtom& a : pred.atoms()) {
-        if (!a.Eval(row)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) ++count;
-    }
+    block.Reset(HeapFile::PageRows(page), HeapFile::PageRowCount(page));
+    if (block.size() > 0) visit(block);
   }
-  return count;
+}
+}  // namespace
+
+// The exact counts are methodology, not query work: the kernels charge a
+// local CpuStats that is dropped, so no run's statistics see this pass.
+std::vector<int64_t> ExactCardinalities(DiskManager* disk, const Table& table,
+                                        std::span<const Predicate> preds) {
+  std::vector<int64_t> counts(preds.size(), 0);
+  if (preds.empty()) return counts;
+  std::vector<PredicateKernel> kernels;
+  kernels.reserve(preds.size());
+  for (const Predicate& pred : preds) {
+    kernels.emplace_back(pred, &table.schema());
+  }
+  CpuStats discarded;
+  std::vector<uint32_t> sel;
+  ForEachPage(disk, table, [&](RowBlock& block) {
+    sel.resize(block.size());
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      counts[k] += kernels[k].EvalBatch(&block, &discarded, sel.data(),
+                                        nullptr);
+    }
+  });
+  return counts;
+}
+
+int64_t ExactCardinality(DiskManager* disk, const Table& table,
+                         const Predicate& pred) {
+  return ExactCardinalities(disk, table, std::span(&pred, 1))[0];
 }
 
 Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
                                                     const JoinQuery& query) {
   ExactJoinCardinalities out;
-  // Multiset of filtered outer keys.
-  std::unordered_map<int64_t, int64_t> outer_keys;
+  CpuStats discarded;
+  // Filtered outer keys, gathered first so the multiset is sized once.
+  std::vector<int64_t> keys;
   {
     const Table& t = *query.outer_table;
-    const HeapFile* file = t.file();
-    for (PageNo p = 0; p < file->page_count(); ++p) {
-      const char* page = disk->RawPage(PageId{file->segment(), p});
-      uint32_t n = HeapFile::PageRowCount(page);
-      for (uint16_t s = 0; s < n; ++s) {
-        RowView row(file->RowInPage(page, s), &t.schema());
-        bool pass = true;
-        for (const PredicateAtom& a : query.outer_pred.atoms()) {
-          if (!a.Eval(row)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) {
-          ++outer_keys[row.GetInt64(static_cast<size_t>(query.outer_col))];
-        }
+    const PredicateKernel kernel(query.outer_pred, &t.schema());
+    const size_t key_col = static_cast<size_t>(query.outer_col);
+    std::vector<uint32_t> sel;
+    ForEachPage(disk, t, [&](RowBlock& block) {
+      sel.resize(block.size());
+      const uint32_t m =
+          kernel.EvalBatch(&block, &discarded, sel.data(), nullptr);
+      for (uint32_t i = 0; i < m; ++i) {
+        keys.push_back(
+            RowView(block.row(sel[i]), &t.schema()).GetInt64(key_col));
       }
-    }
+    });
   }
+  FlatInt64Map<int64_t> outer_keys(keys.size());
+  for (int64_t key : keys) ++*outer_keys.FindOrInsert(key).first;
   {
     const Table& t = *query.inner_table;
-    const HeapFile* file = t.file();
-    for (PageNo p = 0; p < file->page_count(); ++p) {
-      const char* page = disk->RawPage(PageId{file->segment(), p});
-      uint32_t n = HeapFile::PageRowCount(page);
-      for (uint16_t s = 0; s < n; ++s) {
-        RowView row(file->RowInPage(page, s), &t.schema());
-        auto it = outer_keys.find(
-            row.GetInt64(static_cast<size_t>(query.inner_col)));
-        if (it == outer_keys.end()) continue;
+    const PredicateKernel kernel(query.inner_pred, &t.schema());
+    const size_t key_col = static_cast<size_t>(query.inner_col);
+    std::vector<uint8_t> pass;
+    ForEachPage(disk, t, [&](RowBlock& block) {
+      pass.resize(block.size());
+      kernel.EvalBatchDense(&block, &discarded, pass.data());
+      for (uint32_t r = 0; r < block.size(); ++r) {
+        const int64_t* n = outer_keys.Find(
+            RowView(block.row(r), &t.schema()).GetInt64(key_col));
+        if (n == nullptr) continue;
         ++out.semi_join_rows;
-        bool pass = true;
-        for (const PredicateAtom& a : query.inner_pred.atoms()) {
-          if (!a.Eval(row)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out.join_rows += it->second;
+        if (pass[r] != 0) out.join_rows += *n;
       }
-    }
+    });
   }
   return out;
 }
@@ -98,25 +110,30 @@ Result<ExactJoinCardinalities> ExactJoinCardinality(DiskManager* disk,
 Status FeedbackDriver::InjectSelectionCardinalities(Table* table,
                                                     const Predicate& pred) {
   if (pred.empty()) return Status::OK();
-  DiskManager* disk = db_->disk();
+  // Gather every expression the optimizer may cost, then count them all in
+  // one walk of the table. The full conjunction is always refreshed; the
+  // others are skipped when already hinted, and each key is counted once.
+  std::vector<std::string> keys;
+  std::vector<Predicate> exprs;
+  auto want = [&](const Predicate& expr, bool refresh) {
+    std::string key = SelPredKey(*table, expr);
+    if (std::find(keys.begin(), keys.end(), key) != keys.end()) return;
+    if (!refresh && hints_.Cardinality(key).has_value()) return;
+    keys.push_back(std::move(key));
+    exprs.push_back(expr);
+  };
   // Full conjunction…
-  hints_.SetCardinality(
-      SelPredKey(*table, pred),
-      static_cast<double>(ExactCardinality(disk, *table, pred)));
-  // …and the sargable expression of every index the optimizer could seek.
-  for (Index* index : db_->catalog().IndexesForTable(table)) {
+  want(pred, /*refresh=*/true);
+  // …the sargable expression of every index the optimizer could seek…
+  const std::vector<Index*> indexes = db_->catalog().IndexesForTable(table);
+  for (Index* index : indexes) {
     if (auto range = BuildIndexRange(pred, index)) {
-      std::string key = SelPredKey(*table, range->sargable);
-      if (!hints_.Cardinality(key).has_value()) {
-        hints_.SetCardinality(
-            key, static_cast<double>(
-                     ExactCardinality(disk, *table, range->sargable)));
-      }
+      want(range->sargable, /*refresh=*/false);
     }
   }
-  // Pairwise sargable combinations (index intersections).
+  // …and pairwise sargable combinations (index intersections).
   std::vector<Predicate> sargables;
-  for (Index* index : db_->catalog().IndexesForTable(table)) {
+  for (Index* index : indexes) {
     if (index->is_clustered_key()) continue;
     if (auto range = BuildIndexRange(pred, index)) {
       sargables.push_back(range->sargable);
@@ -126,13 +143,13 @@ Status FeedbackDriver::InjectSelectionCardinalities(Table* table,
     for (size_t j = i + 1; j < sargables.size(); ++j) {
       Predicate combined = sargables[i];
       for (const PredicateAtom& a : sargables[j].atoms()) combined.Add(a);
-      std::string key = SelPredKey(*table, combined);
-      if (!hints_.Cardinality(key).has_value()) {
-        hints_.SetCardinality(
-            key, static_cast<double>(
-                     ExactCardinality(disk, *table, combined)));
-      }
+      want(combined, /*refresh=*/false);
     }
+  }
+  const std::vector<int64_t> counts =
+      ExactCardinalities(db_->disk(), *table, exprs);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    hints_.SetCardinality(keys[k], static_cast<double>(counts[k]));
   }
   return Status::OK();
 }
@@ -182,10 +199,7 @@ Result<RunStatistics> FeedbackDriver::ExecuteSingle(
   DPCF_RETURN_IF_ERROR(db_->ColdCache());
   ExecContext ctx(db_->buffer_pool(), options_.exec_seed);
   AttachObservability(&ctx, db_, options_);
-  PlanMonitorHooks hooks;
-  hooks.scan_sample_fraction = options_.monitor.scan_sample_fraction;
-  hooks.seed = options_.monitor.seed;
-  hooks.vectorized_scan = options_.monitor.vectorized_scan;
+  PlanMonitorHooks hooks = BaseHooks(options_.monitor);
   if (monitored) {
     MonitorManager mm(db_, options_.monitor);
     DPCF_ASSIGN_OR_RETURN(InstrumentedHooks ih,
@@ -207,10 +221,7 @@ Result<RunStatistics> FeedbackDriver::ExecuteJoin(
   DPCF_RETURN_IF_ERROR(db_->ColdCache());
   ExecContext ctx(db_->buffer_pool(), options_.exec_seed);
   AttachObservability(&ctx, db_, options_);
-  PlanMonitorHooks hooks;
-  hooks.scan_sample_fraction = options_.monitor.scan_sample_fraction;
-  hooks.seed = options_.monitor.seed;
-  hooks.vectorized_scan = options_.monitor.vectorized_scan;
+  PlanMonitorHooks hooks = BaseHooks(options_.monitor);
   if (monitored) {
     MonitorManager mm(db_, options_.monitor);
     DPCF_ASSIGN_OR_RETURN(InstrumentedHooks ih,

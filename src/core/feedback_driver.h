@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,13 @@ struct FeedbackOutcome {
   bool reoptimization_advised = false;
 };
 
-/// Exact row count of a predicate by raw table walk (diagnostic-time).
+/// Exact row counts of several predicates over `table`, in one walk of its
+/// pages (diagnostic-time; charges no run's statistics). counts[k] belongs
+/// to preds[k].
+std::vector<int64_t> ExactCardinalities(DiskManager* disk, const Table& table,
+                                        std::span<const Predicate> preds);
+
+/// Exact row count of one predicate by raw table walk (diagnostic-time).
 int64_t ExactCardinality(DiskManager* disk, const Table& table,
                          const Predicate& pred);
 

@@ -27,6 +27,19 @@ MonitorManager::MonitorManager(Database* db, MonitorOptions options)
       "Bitvector filters registered for probe-side join monitoring");
 }
 
+PlanMonitorHooks BaseHooks(const MonitorOptions& options) {
+  PlanMonitorHooks hooks;
+  hooks.scan_sample_fraction = options.scan_sample_fraction;
+  hooks.inner_scan_sample_fraction = options.scan_sample_fraction;
+  hooks.seed = options.seed;
+  hooks.scan_threads = options.scan_threads;
+  hooks.morsel_pages = options.morsel_pages;
+  hooks.prefetch_pages = options.prefetch_pages;
+  hooks.adaptive_readahead = options.adaptive_readahead;
+  hooks.vectorized_scan = options.vectorized_scan;
+  return hooks;
+}
+
 namespace {
 /// The configured fraction, raised so at least min_sampled_pages pages are
 /// expected to be sampled on small tables.
@@ -73,14 +86,9 @@ void MonitorManager::SelectionRequests(
 Result<InstrumentedHooks> MonitorManager::ForSingleTable(
     const AccessPathPlan& path, const SingleTableQuery& query) const {
   InstrumentedHooks out;
+  out.hooks = BaseHooks(options_);
   out.hooks.scan_sample_fraction = EffectiveFraction(options_, *query.table);
   out.hooks.inner_scan_sample_fraction = out.hooks.scan_sample_fraction;
-  out.hooks.seed = options_.seed;
-  out.hooks.scan_threads = options_.scan_threads;
-  out.hooks.morsel_pages = options_.morsel_pages;
-  out.hooks.prefetch_pages = options_.prefetch_pages;
-  out.hooks.adaptive_readahead = options_.adaptive_readahead;
-  out.hooks.vectorized_scan = options_.vectorized_scan;
   if (!options_.enabled) return out;
 
   switch (path.kind) {
@@ -138,12 +146,11 @@ Result<InstrumentedHooks> MonitorManager::ForJoin(const JoinPlan& plan,
                                                   const JoinQuery& query,
                                                   ExecContext* ctx) const {
   InstrumentedHooks out;
+  out.hooks = BaseHooks(options_);
   out.hooks.scan_sample_fraction =
       EffectiveFraction(options_, *query.outer_table);
   out.hooks.inner_scan_sample_fraction =
       EffectiveFraction(options_, *query.inner_table);
-  out.hooks.seed = options_.seed;
-  out.hooks.vectorized_scan = options_.vectorized_scan;
   if (!options_.enabled) return out;
 
   const std::string join_label =

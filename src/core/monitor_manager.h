@@ -84,6 +84,13 @@ struct MonitoredExpr {
   Table* outer_table = nullptr;
 };
 
+/// The hooks every run of a plan starts from: the execution knobs of
+/// `options` (sample fraction, seed, scan threads, morsel size, readahead,
+/// vectorized scans) with no monitor attached. Unmonitored runs execute
+/// exactly these and MonitorManager adds its requests on top, so the
+/// baseline, monitored and improved runs all scan the same way.
+PlanMonitorHooks BaseHooks(const MonitorOptions& options);
+
 /// Hooks plus the catalog of what they measure.
 struct InstrumentedHooks {
   PlanMonitorHooks hooks;

@@ -26,9 +26,8 @@ HashJoinOp::HashJoinOp(OperatorPtr build, int build_key_idx,
       filter_spec_(filter_spec) {}
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
-  table_.clear();
-  bucket_ = nullptr;
-  bucket_pos_ = 0;
+  rows_.clear();
+  cursor_ = kEnd;
 
   // Build phase: drain the build child. The bitvector filter is computed
   // here (one hash per build row) and registered with the context BEFORE
@@ -51,9 +50,21 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       ++ctx->cpu()->monitor_hash_ops;
       filter->AddKeyCounted(key);
     }
-    table_[key].push_back(t);
+    rows_.push_back(std::move(t));
   }
   DPCF_RETURN_IF_ERROR(build_->Close(ctx));
+  if (rows_.size() >= kEnd) {
+    return Status::Internal("hash join build side exceeds 2^32-1 rows");
+  }
+  // Link each key's rows back to front, so every chain runs in input order.
+  table_ = FlatInt64Map<uint32_t>(rows_.size());
+  next_.assign(rows_.size(), kEnd);
+  for (uint32_t r = static_cast<uint32_t>(rows_.size()); r-- > 0;) {
+    auto [head, inserted] = table_.FindOrInsert(
+        rows_[r][static_cast<size_t>(build_key_idx_)].AsInt64());
+    if (!inserted) next_[r] = *head;
+    *head = r;
+  }
   if (filter != nullptr) {
     DPCF_RETURN_IF_ERROR(ctx->SetFilter(filter_spec_->slot,
                                         std::move(filter)));
@@ -63,26 +74,26 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
 
 Result<bool> HashJoinOp::NextImpl(ExecContext* ctx, Tuple* out) {
   while (true) {
-    if (bucket_ != nullptr && bucket_pos_ < bucket_->size()) {
-      *out = Concat(probe_tuple_, (*bucket_)[bucket_pos_++]);
+    if (cursor_ != kEnd) {
+      *out = Concat(probe_tuple_, rows_[cursor_]);
+      cursor_ = next_[cursor_];
       return true;
     }
-    bucket_ = nullptr;
     auto more = probe_->Next(ctx, &probe_tuple_);
     if (!more.ok()) return more.status();
     if (!*more) return false;
     ++ctx->cpu()->hash_table_ops;
-    auto it = table_.find(
+    const uint32_t* head = table_.Find(
         probe_tuple_[static_cast<size_t>(probe_key_idx_)].AsInt64());
-    if (it != table_.end()) {
-      bucket_ = &it->second;
-      bucket_pos_ = 0;
-    }
+    if (head != nullptr) cursor_ = *head;
   }
 }
 
 Status HashJoinOp::CloseImpl(ExecContext* ctx) {
-  table_.clear();
+  rows_.clear();
+  next_.clear();
+  table_ = FlatInt64Map<uint32_t>();
+  cursor_ = kEnd;
   return probe_->Close(ctx);
 }
 

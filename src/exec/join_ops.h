@@ -15,10 +15,12 @@
 
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
+#include "common/flat_int64_map.h"
 #include "core/pid_monitor.h"
 #include "exec/index_ops.h"
 #include "exec/operator.h"
@@ -38,7 +40,8 @@ struct BitvectorSpec {
 };
 
 /// In-memory hash join; build side is drained at Open. Output tuples are
-/// the probe tuple followed by the build tuple.
+/// the probe tuple followed by the build tuple; a probe row's matches come
+/// out in build-input order (DESIGN.md section 17).
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr build, int build_key_idx, OperatorPtr probe,
@@ -60,10 +63,15 @@ class HashJoinOp : public Operator {
   int probe_key_idx_;
   std::optional<BitvectorSpec> filter_spec_;
 
-  std::unordered_map<int64_t, std::vector<Tuple>> table_;
+  static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
+
+  // Build rows in input order; next_[r] is the next row with r's key
+  // (kEnd ends the chain), and table_ maps each key to its first row.
+  std::vector<Tuple> rows_;
+  std::vector<uint32_t> next_;
+  FlatInt64Map<uint32_t> table_;
   Tuple probe_tuple_;
-  const std::vector<Tuple>* bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
+  uint32_t cursor_ = kEnd;  // next build row to pair with probe_tuple_
 };
 
 enum class MergeBitvectorMode {

@@ -30,7 +30,7 @@ double QErrorHistogram::Quantile(double phi) const {
   for (size_t i = 0; i < buckets_.size(); ++i) {
     cumulative += buckets_[i];
     if (cumulative >= target) {
-      return std::pow(2.0, static_cast<double>(i + 1));
+      return std::min(std::pow(2.0, static_cast<double>(i + 1)), max_);
     }
   }
   return max_;

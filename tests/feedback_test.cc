@@ -7,6 +7,7 @@
 #include "core/feedback_driver.h"
 #include "core/feedback_store.h"
 #include "core/monitor_manager.h"
+#include "obs/op_profile.h"
 #include "tests/test_util.h"
 
 namespace dpcf {
@@ -398,6 +399,81 @@ TEST_F(FeedbackDriverTest, PersistentMisestimationAdvisesReoptimization) {
   ASSERT_OK_AND_ASSIGN(FeedbackOutcome fixed, driver.RunSingleTable(q));
   EXPECT_FALSE(fixed.reoptimization_advised);
   EXPECT_TRUE(driver.drift_monitor()->ActiveAlerts().empty());
+}
+
+// Depth-first search of a profile tree for an operator description.
+bool ProfileMentions(const OpProfileNode& node, const std::string& text) {
+  if (node.describe.find(text) != std::string::npos) return true;
+  for (const OpProfileNode& child : node.children) {
+    if (ProfileMentions(child, text)) return true;
+  }
+  return false;
+}
+
+TEST_F(FeedbackDriverTest, ScanThreadsReachTheUnmonitoredRuns) {
+  // An unselective predicate: every plan is a full table scan, so each of
+  // T, the monitored run and T' scans with whatever the hooks carry.
+  SingleTableQuery q;
+  q.table = t_;
+  q.count_star = true;
+  q.count_col = kPadding;
+  q.pred.Add(PredicateAtom::Int64(kC3, CmpOp::kLt, 15'000));
+  FeedbackRunOptions serial;
+  serial.profile_operators = true;
+  FeedbackRunOptions parallel = serial;
+  parallel.monitor.scan_threads = 2;
+  parallel.monitor.prefetch_pages = 16;
+  ASSERT_OK_AND_ASSIGN(
+      FeedbackOutcome one,
+      FeedbackDriver(db_.get(), &stats_, serial).RunSingleTable(q));
+  ASSERT_OK_AND_ASSIGN(
+      FeedbackOutcome two,
+      FeedbackDriver(db_.get(), &stats_, parallel).RunSingleTable(q));
+  ASSERT_NE(one.plan_before.find("TableScan"), std::string::npos)
+      << one.plan_before;
+  ASSERT_EQ(two.plan_before, one.plan_before);
+  ASSERT_EQ(two.plan_after, one.plan_after);
+  EXPECT_EQ(two.count_result, one.count_result);
+  const bool scan_after =
+      one.plan_after.find("TableScan") != std::string::npos;
+  for (const RunStatistics* run :
+       {&two.baseline_run, &two.monitored_run, &two.improved_run}) {
+    ASSERT_NE(run->profile, nullptr);
+    if (run == &two.improved_run && !scan_after) continue;
+    EXPECT_TRUE(ProfileMentions(*run->profile,
+                                "threads=2, prefetch=16+adaptive"))
+        << RenderAnnotatedPlan(*run->profile, {}, SimCostParams());
+  }
+  for (const RunStatistics* run : {&one.baseline_run, &one.improved_run}) {
+    EXPECT_FALSE(ProfileMentions(*run->profile, "threads="));
+  }
+  // Each page is still read once: the parallel T reads what the serial T
+  // reads.
+  EXPECT_EQ(two.baseline_run.io.logical_reads,
+            one.baseline_run.io.logical_reads);
+}
+
+TEST(BaseHooksTest, ForwardsEveryExecutionKnob) {
+  MonitorOptions options;
+  options.scan_sample_fraction = 0.25;
+  options.seed = 77;
+  options.scan_threads = 3;
+  options.morsel_pages = 5;
+  options.prefetch_pages = 64;
+  options.adaptive_readahead = false;
+  options.vectorized_scan = false;
+  const PlanMonitorHooks hooks = BaseHooks(options);
+  EXPECT_EQ(hooks.scan_sample_fraction, 0.25);
+  EXPECT_EQ(hooks.seed, 77u);
+  EXPECT_EQ(hooks.scan_threads, 3);
+  EXPECT_EQ(hooks.morsel_pages, 5u);
+  EXPECT_EQ(hooks.prefetch_pages, 64u);
+  EXPECT_FALSE(hooks.adaptive_readahead);
+  EXPECT_FALSE(hooks.vectorized_scan);
+  EXPECT_TRUE(hooks.outer_scan_requests.empty());
+  EXPECT_TRUE(hooks.inner_scan_requests.empty());
+  EXPECT_TRUE(hooks.fetch_requests.empty());
+  EXPECT_FALSE(hooks.bitvector.has_value());
 }
 
 TEST_F(FeedbackDriverTest, CardinalityInjectionCanBeDisabled) {

@@ -246,9 +246,27 @@ TEST(QErrorHistogramTest, ObserveAndQuantile) {
   EXPECT_DOUBLE_EQ(h.max(), 100.0);
   EXPECT_DOUBLE_EQ(h.mean(), (1.0 + 1.5 + 3.0 + 100.0) / 4);
   // Conservative bucket-boundary quantiles: the median lands in the
-  // [1, 2] band, the tail in 100's bucket (64, 128].
+  // [1, 2] band, the tail in 100's bucket (64, 128], clamped to max.
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 128.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 100.0);
+}
+
+TEST(QErrorHistogramTest, QuantilesNeverExceedMax) {
+  QErrorHistogram exact;
+  for (int i = 0; i < 20; ++i) exact.Observe(1.0);
+  EXPECT_DOUBLE_EQ(exact.Quantile(0.95), 1.0);
+  EXPECT_DOUBLE_EQ(exact.Quantile(0.5), 1.0);
+
+  QErrorHistogram mixed;
+  for (double q : {1.0, 1.2, 3.0, 5.5, 17.0, 40.0, 1000.0, 0.5}) {
+    mixed.Observe(q);
+  }
+  for (double phi : {0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+    EXPECT_LE(mixed.Quantile(phi), mixed.max()) << phi;
+    EXPECT_GE(mixed.Quantile(phi), 1.0) << phi;
+  }
+  EXPECT_DOUBLE_EQ(mixed.Quantile(1.0), 1000.0);
+  EXPECT_DOUBLE_EQ(mixed.Quantile(0.5), 4.0) << "4th of 8 (3.0) is in (2, 4]";
 }
 
 TEST(EstimationErrorTrackerTest, GroupsByTableAndMechanism) {
