@@ -1,10 +1,14 @@
-// Open-addressing hash table keyed by int64_t, for the per-query hot paths
-// that build a table once and then probe it many times (DESIGN.md
-// section 17): the hash join's build side and the exact join-cardinality
-// outer-key multiset.
+// Open-addressing hash table keyed by int64_t, for the hot paths that know
+// their entry bound up front (DESIGN.md section 17): the hash join's build
+// side, the exact join-cardinality outer-key multiset, and the buffer
+// pool's per-shard page table (DESIGN.md section 10).
 //
 // Capacity is a power of two, at least twice the entry count the caller
-// declares up front, and never changes: there is no erase and no rehash.
+// declares up front, and never changes: there is no rehash, and a table
+// that never holds more than its declared entries never allocates after
+// construction. Erase uses backward-shift deletion, so a probe run never
+// contains tombstones and a table under insert/erase churn probes exactly
+// like one built from its live keys.
 // Keys are placed by Fibonacci multiplicative hashing (the top bits of
 // key * 2^64/phi) and collisions resolve by linear probing, so a probe is
 // one multiply, one shift and usually one cache line — against the
@@ -58,6 +62,40 @@ class FlatInt64Map {
       if (!s.used) return nullptr;
       if (s.key == key) return &s.value;
     }
+  }
+
+  /// Removes `key`; returns false (and changes nothing) when it is absent.
+  /// Backward shift: every later entry of the probe run whose home slot
+  /// does not lie cyclically in (hole, entry] moves back into the hole,
+  /// which keeps the no-gap-before-home invariant Find relies on.
+  bool Erase(int64_t key) {
+    size_t hole = Home(key);
+    for (;; hole = NextSlot(hole)) {
+      const Slot& s = slots_[hole];
+      if (!s.used) return false;
+      if (s.key == key) break;
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t j = NextSlot(hole);; j = NextSlot(j)) {
+      Slot& s = slots_[j];
+      if (!s.used) break;
+      // The entry at j may fill the hole iff the hole is no further from
+      // j than its home is (cyclic distances, both counted back from j).
+      if (((j - Home(s.key)) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = std::move(s);
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+    return true;
+  }
+
+  /// Removes every entry; the capacity is kept.
+  void Clear() {
+    if (size_ == 0) return;
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
   }
 
   size_t size() const { return size_; }

@@ -87,10 +87,11 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages,
     const size_t frames = base + (si < rem ? 1 : 0);
     MutexLock lock(&shard->mu);  // ctor-private; satisfies TSA, uncontended
     shard->frames.resize(frames);
+    shard->load_status.resize(frames);
     shard->free_frames.reserve(frames);
+    shard->table = FlatInt64Map<int32_t>(frames);
     for (size_t i = 0; i < frames; ++i) {
       shard->frames[i].data = std::make_unique<char[]>(disk_->page_size());
-      shard->frames[i].lru_pos = shard->lru.end();
       shard->free_frames.push_back(static_cast<int32_t>(frames - 1 - i));
     }
     shards_.push_back(std::move(shard));
@@ -142,22 +143,53 @@ size_t BufferPool::shard_capacity(size_t s) const {
   return shards_[s]->frames.size();
 }
 
+void BufferPool::LruPushFrontLocked(Shard* s, int32_t f) {
+  Frame& fr = s->frames[static_cast<size_t>(f)];
+  assert(!fr.in_lru);
+  fr.lru_prev = -1;
+  fr.lru_next = s->lru_head;
+  if (s->lru_head >= 0) {
+    s->frames[static_cast<size_t>(s->lru_head)].lru_prev = f;
+  } else {
+    s->lru_tail = f;
+  }
+  s->lru_head = f;
+  fr.in_lru = true;
+}
+
+void BufferPool::LruUnlinkLocked(Shard* s, int32_t f) {
+  Frame& fr = s->frames[static_cast<size_t>(f)];
+  assert(fr.in_lru);
+  if (fr.lru_prev >= 0) {
+    s->frames[static_cast<size_t>(fr.lru_prev)].lru_next = fr.lru_next;
+  } else {
+    s->lru_head = fr.lru_next;
+  }
+  if (fr.lru_next >= 0) {
+    s->frames[static_cast<size_t>(fr.lru_next)].lru_prev = fr.lru_prev;
+  } else {
+    s->lru_tail = fr.lru_prev;
+  }
+  fr.lru_prev = -1;
+  fr.lru_next = -1;
+  fr.in_lru = false;
+}
+
 int32_t BufferPool::AcquireFrameLocked(Shard* s, Status* status) {
   if (!s->free_frames.empty()) {
     int32_t f = s->free_frames.back();
     s->free_frames.pop_back();
     return f;
   }
-  if (s->lru.empty()) {
+  if (s->lru_tail < 0) {
     *status = Status::ResourceExhausted(
         "all frames of the page's buffer-pool shard are pinned or loading");
     return -1;
   }
-  int32_t victim = s->lru.back();
-  s->lru.pop_back();
+  int32_t victim = s->lru_tail;
+  LruUnlinkLocked(s, victim);
   Frame& fr = s->frames[static_cast<size_t>(victim)];
-  fr.in_lru = false;
-  s->table.erase(fr.pid);
+  s->table.Erase(static_cast<int64_t>(fr.pid.Pack()));
   if (journal_ != nullptr) {
     journal_->Record(JournalEvent::kEviction, fr.pid.page_no,
                      fr.dirty ? 1 : 0);
@@ -181,11 +213,12 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
   const uint32_t si = static_cast<uint32_t>(shard_index(pid));
   Shard& s = *shards_[si];
   IoStats* io = disk_->io_stats();
+  const int64_t key = static_cast<int64_t>(pid.Pack());
   s.mu.lock();
   for (;;) {
-    auto it = s.table.find(pid);
-    if (it != s.table.end()) {
-      Frame& fr = s.frames[static_cast<size_t>(it->second)];
+    if (const int32_t* hit = s.table.Find(key)) {
+      const int32_t f = *hit;
+      Frame& fr = s.frames[static_cast<size_t>(f)];
       if (fr.state != FrameState::kReady) {
         // Another fetcher is reading this page off disk (kLoading), or its
         // async load just failed (kLoadError) and the loader — who holds
@@ -212,11 +245,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
         }
         continue;
       }
-      if (fr.in_lru) {
-        s.lru.erase(fr.lru_pos);
-        fr.in_lru = false;
-        fr.lru_pos = s.lru.end();
-      }
+      if (fr.in_lru) LruUnlinkLocked(&s, f);
       ++fr.pin_count;
       ++io->logical_reads;
       ++io->buffer_hits;
@@ -229,7 +258,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
       }
       if (s.m_hits != nullptr) s.m_hits->Increment();
       if (m_logical_reads_ != nullptr) m_logical_reads_->Increment();
-      PageGuard guard(this, si, it->second, fr.data.get());
+      PageGuard guard(this, si, f, fr.data.get());
       s.mu.unlock();
       return guard;
     }
@@ -247,7 +276,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
     fr.pin_count = 1;  // loading frames are never victims
     fr.dirty = false;
     fr.prefetched = false;
-    s.table[pid] = f;
+    *s.table.FindOrInsert(key).first = f;
     char* dst = fr.data.get();
     if (s.m_misses != nullptr) s.m_misses->Increment();
     const bool traced = trace_ != nullptr && trace_->enabled();
@@ -277,7 +306,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
             {
               MutexLock relock(&sh.mu);
               Frame& loaded = sh.frames[static_cast<size_t>(f)];
-              loaded.load_status = read;
+              sh.load_status[static_cast<size_t>(f)] = read;
               loaded.state = read.ok() ? FrameState::kReady
                                        : FrameState::kLoadError;
             }
@@ -285,7 +314,9 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
           });
       s.mu.lock();
       while (fr.state == FrameState::kLoading) s.cv.wait(s.mu);
-      st = fr.state == FrameState::kReady ? Status::OK() : fr.load_status;
+      st = fr.state == FrameState::kReady
+               ? Status::OK()
+               : s.load_status[static_cast<size_t>(f)];
     } else {
       s.mu.unlock();
       st = disk_->ReadPage(pid, dst);
@@ -309,7 +340,7 @@ Result<PageGuard> BufferPool::Fetch(PageId pid) {
       }
     }
     if (!st.ok()) {
-      s.table.erase(pid);
+      s.table.Erase(key);
       fr.state = FrameState::kFree;
       fr.pin_count = 0;
       s.free_frames.push_back(f);
@@ -334,8 +365,9 @@ Status BufferPool::Prefetch(PageId pid) {
   const uint32_t si = static_cast<uint32_t>(shard_index(pid));
   Shard& s = *shards_[si];
   IoStats* io = disk_->io_stats();
+  const int64_t key = static_cast<int64_t>(pid.Pack());
   s.mu.lock();
-  if (s.table.find(pid) != s.table.end()) {
+  if (s.table.Find(key) != nullptr) {
     // Cached or already loading (demand fetchers wait on it themselves):
     // nothing to do.
     s.mu.unlock();
@@ -358,7 +390,7 @@ Status BufferPool::Prefetch(PageId pid) {
   fr.pin_count = 1;
   fr.dirty = false;
   fr.prefetched = false;
-  s.table[pid] = f;
+  *s.table.FindOrInsert(key).first = f;
   char* dst = fr.data.get();
   const bool traced = trace_ != nullptr && trace_->enabled();
   const int64_t span_begin = traced ? trace_->NowUs() : 0;
@@ -375,7 +407,7 @@ Status BufferPool::Prefetch(PageId pid) {
                     span_begin);
   }
   if (!st.ok()) {
-    s.table.erase(pid);
+    s.table.Erase(key);
     fr.state = FrameState::kFree;
     fr.pin_count = 0;
     s.free_frames.push_back(f);
@@ -389,9 +421,7 @@ Status BufferPool::Prefetch(PageId pid) {
   // window of prefetched-but-unconsumed pages survives until the scan
   // cursor arrives (unless the shard is under real pressure).
   fr.pin_count = 0;
-  s.lru.push_front(f);
-  fr.lru_pos = s.lru.begin();
-  fr.in_lru = true;
+  LruPushFrontLocked(&s, f);
   s.cv.notify_all();
   s.mu.unlock();
   return Status::OK();
@@ -416,7 +446,8 @@ Status BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     const uint32_t si = static_cast<uint32_t>(shard_index(pid));
     Shard& s = *shards_[si];
     MutexLock lock(&s.mu);
-    if (s.table.find(pid) != s.table.end()) continue;
+    const int64_t key = static_cast<int64_t>(pid.Pack());
+    if (s.table.Find(key) != nullptr) continue;
     Status status = Status::OK();
     int32_t f = AcquireFrameLocked(&s, &status);
     if (f < 0) {
@@ -430,7 +461,7 @@ Status BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
     fr.pin_count = 1;
     fr.dirty = false;
     fr.prefetched = false;
-    s.table[pid] = f;
+    *s.table.FindOrInsert(key).first = f;
     batch.push_back(ReadRequest{
         pid, fr.data.get(), ReadClass::kPrefetch,
         [this, si, f](const Status& read) {
@@ -445,14 +476,12 @@ Status BufferPool::PrefetchBatch(const std::vector<PageId>& pids) {
               loaded.state = FrameState::kReady;
               loaded.prefetched = true;
               loaded.pin_count = 0;
-              sh.lru.push_front(f);
-              loaded.lru_pos = sh.lru.begin();
-              loaded.in_lru = true;
+              LruPushFrontLocked(&sh, f);
             } else {
               // Disk error or CancelPending: nothing was read, nothing
               // was charged; give the frame back. Demand fetches of the
               // page will surface a persistent error themselves.
-              sh.table.erase(loaded.pid);
+              sh.table.Erase(static_cast<int64_t>(loaded.pid.Pack()));
               loaded.state = FrameState::kFree;
               loaded.pin_count = 0;
               sh.free_frames.push_back(f);
@@ -483,14 +512,13 @@ Result<PageGuard> BufferPool::NewPage(SegmentId segment, PageId* out_pid) {
   fr.pin_count = 1;
   fr.dirty = true;
   fr.prefetched = false;
-  s.table[pid] = f;
+  *s.table.FindOrInsert(static_cast<int64_t>(pid.Pack())).first = f;
   *out_pid = pid;
   return PageGuard(this, si, f, fr.data.get());
 }
 
 Status BufferPool::FlushShardLocked(Shard* s) {
-  for (auto& [pid, f] : s->table) {
-    Frame& fr = s->frames[static_cast<size_t>(f)];
+  for (Frame& fr : s->frames) {
     if (fr.state == FrameState::kReady && fr.dirty) {
       DPCF_RETURN_IF_ERROR(disk_->WritePage(fr.pid, fr.data.get()));
       fr.dirty = false;
@@ -524,28 +552,31 @@ Status BufferPool::ColdReset() {
   // bug — ColdReset's contract requires a quiescent pool, as before.
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    for (auto& [pid, f] : shard->table) {
-      const Frame& fr = shard->frames[static_cast<size_t>(f)];
+    for (const Frame& fr : shard->frames) {
+      if (fr.state == FrameState::kFree) continue;
       if (fr.pin_count > 0 || fr.state == FrameState::kLoading) {
         return Status::InvalidArgument(StrFormat(
-            "ColdReset with pinned page %s", pid.ToString().c_str()));
+            "ColdReset with pinned page %s", fr.pid.ToString().c_str()));
       }
     }
   }
-  // Pass 2: flush and clear, same order.
+  // Pass 2: flush and clear, same order. One walk of the frame array frees
+  // every cached frame; the table and the LRU are then emptied whole.
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     DPCF_RETURN_IF_ERROR(FlushShardLocked(shard.get()));
-    for (auto& [pid, f] : shard->table) {
+    const int32_t frames = static_cast<int32_t>(shard->frames.size());
+    for (int32_t f = 0; f < frames; ++f) {
       Frame& fr = shard->frames[static_cast<size_t>(f)];
+      if (fr.state == FrameState::kFree) continue;
       fr.state = FrameState::kFree;
-      fr.in_lru = false;
       fr.prefetched = false;
-      fr.lru_pos = shard->lru.end();
+      fr.in_lru = false;
       shard->free_frames.push_back(f);
     }
-    shard->table.clear();
-    shard->lru.clear();
+    shard->table.Clear();
+    shard->lru_head = -1;
+    shard->lru_tail = -1;
   }
   disk_->ResetReadHead();
   return Status::OK();
@@ -565,11 +596,7 @@ void BufferPool::Unpin(uint32_t shard, int32_t frame) {
   MutexLock lock(&s.mu);
   Frame& fr = s.frames[static_cast<size_t>(frame)];
   assert(fr.pin_count > 0);
-  if (--fr.pin_count == 0) {
-    s.lru.push_front(frame);
-    fr.lru_pos = s.lru.begin();
-    fr.in_lru = true;
-  }
+  if (--fr.pin_count == 0) LruPushFrontLocked(&s, frame);
 }
 
 void BufferPool::MarkDirty(uint32_t shard, int32_t frame) {

@@ -5,12 +5,27 @@
 // distinction the paper's DPC parameter drives ("each distinct page involves
 // a new logical I/O and, if absent from the buffer pool, a physical I/O").
 // ColdReset() empties the pool between measured runs to reproduce the
-// paper's cold-cache methodology.
+// paper's cold-cache methodology. It and FlushAll() walk each shard's
+// contiguous frame array (skipping kFree frames) rather than the page
+// table: ColdReset writes back the dirty frames, frees the cached ones onto
+// the free list, then empties the page table with one Clear() and the LRU
+// by resetting its head and tail. No walk follows a node pointer.
 //
 // Sharding: frames are partitioned into N shards (N a power of two), and a
 // page belongs to shard PageIdHash(pid) & (N-1). Each shard has its own
 // latch, page table, free list and LRU list, so concurrent fetches of pages
 // in different shards never touch the same latch.
+//
+// Bookkeeping makes no heap allocation after construction. The page table
+// is a FlatInt64Map<int32_t> (common/flat_int64_map.h) from
+// PageId::Pack() to frame index, sized at construction for twice the
+// shard's frames: a shard never caches more pages than it has frames, so
+// the table never rehashes, and eviction erases by backward shift, so it
+// never fills with tombstones. The LRU list is intrusive: each frame
+// carries lru_prev/lru_next frame indexes and the shard its head (most
+// recent) and tail (the next victim), so an unpin links a frame and a hit
+// unlinks one without allocating or freeing a list node. Frames are
+// reclaimed from a LIFO free list first, then from the LRU tail.
 //
 // Miss protocol (LOADING): on a miss the fetching thread claims a frame,
 // publishes it in the shard's page table in the kLoading state, and *drops
@@ -58,11 +73,10 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_int64_map.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "storage/disk_manager.h"
@@ -225,18 +239,18 @@ class BufferPool {
     kLoadError,  // async load failed; load_status set, loader cleans up
   };
 
+  // Bookkeeping fields first and packed (32 bytes): the whole-shard walks
+  // of ColdReset and FlushAll read two frames per cache line.
   struct Frame {
     PageId pid;
     std::unique_ptr<char[]> data;
-    FrameState state = FrameState::kFree;
-    // Outcome of a failed async demand load, parked here (state
-    // kLoadError) until the loader — who still holds the pin — wakes,
-    // frees the frame and propagates it to the Fetch caller.
-    Status load_status;
     int32_t pin_count = 0;
+    // Intrusive LRU links (frame indexes, -1 = none), meaningful only
+    // while in_lru, which holds iff the frame is cached with pin_count 0.
+    int32_t lru_prev = -1;
+    int32_t lru_next = -1;
+    FrameState state = FrameState::kFree;
     bool dirty = false;
-    // Position in the shard lru when pin_count == 0; lru.end() otherwise.
-    std::list<int32_t>::iterator lru_pos;
     bool in_lru = false;
     // Loaded by a kPrefetch read and not yet demanded: the first demand hit
     // charges IoStats::prefetch_hits and clears this (so one prefetched
@@ -260,9 +274,18 @@ class BufferPool {
     /// the free list on error); waiters re-check the page table.
     std::condition_variable_any cv;
     std::vector<Frame> frames GUARDED_BY(mu);
-    std::vector<int32_t> free_frames GUARDED_BY(mu);
-    std::list<int32_t> lru GUARDED_BY(mu);  // front = most recent
-    std::unordered_map<PageId, int32_t, PageIdHash> table GUARDED_BY(mu);
+    // Outcome of a failed async demand load of frame f, parked in
+    // load_status[f] (state kLoadError) until the loader — who still holds
+    // the pin — wakes, frees the frame and propagates it to the Fetch
+    // caller. Kept beside the frames so their walks stay dense.
+    std::vector<Status> load_status GUARDED_BY(mu);
+    std::vector<int32_t> free_frames GUARDED_BY(mu);  // back = next reused
+    // Intrusive LRU over `frames`: head = most recent, tail = next victim;
+    // -1 when empty.
+    int32_t lru_head GUARDED_BY(mu) = -1;
+    int32_t lru_tail GUARDED_BY(mu) = -1;
+    // PageId::Pack() -> frame index of every non-kFree frame.
+    FlatInt64Map<int32_t> table GUARDED_BY(mu);
     // Metric handles, null until AttachObservability. Set once at a
     // quiescent point; the Counter itself is a relaxed atomic, so no
     // GUARDED_BY (same contract as IoStats::AtomicCounter).
@@ -276,8 +299,13 @@ class BufferPool {
   /// or loading.
   int32_t AcquireFrameLocked(Shard* s, Status* status) REQUIRES(s->mu);
 
-  /// Writes back all dirty kReady frames of `s`.
+  /// Writes back all dirty kReady frames of `s`, walking the frame array.
   Status FlushShardLocked(Shard* s) REQUIRES(s->mu);
+
+  /// Links unpinned frame `f` at the head (most recent end) of `s`'s LRU.
+  static void LruPushFrontLocked(Shard* s, int32_t f) REQUIRES(s->mu);
+  /// Unlinks frame `f` from `s`'s LRU; it must be linked.
+  static void LruUnlinkLocked(Shard* s, int32_t f) REQUIRES(s->mu);
 
   void Unpin(uint32_t shard, int32_t frame);
   void MarkDirty(uint32_t shard, int32_t frame);

@@ -1,7 +1,8 @@
 // The per-query diagnosis loop's hot paths (DESIGN.md section 17), each
 // checked against a plain reference:
 //
-//  * FlatInt64Map: extreme and colliding keys, repeated find-or-insert;
+//  * FlatInt64Map: extreme and colliding keys, repeated find-or-insert,
+//    and erase / clear against a std::unordered_map model;
 //  * HashJoinOp: output *in order* against a nested-loop join, with
 //    duplicate keys on both sides, empty inputs and re-Open;
 //  * ExactCardinalities / ExactCardinality: kernel-evaluated counts against
@@ -14,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +38,10 @@ using testing::SyntheticDbTest;
 
 constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
 constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+// A Fibonacci number: its small multiples pile onto the first slot
+// (positive multiples) or the last one (negative multiples) of any table
+// (see CollidingKeysProbeLinearly), so their probe runs wrap around.
+constexpr int64_t kFib45 = 1134903170;
 
 // ------------------------------------------------------------ FlatInt64Map
 
@@ -74,7 +80,6 @@ TEST(FlatInt64MapTest, CollidingKeysProbeLinearly) {
   // small multiple of d hashes to the first or (negative multiples) the
   // last slot: the keys pile up and must be told apart by linear probing,
   // wrapping around the end of the table.
-  constexpr int64_t kFib45 = 1134903170;
   FlatInt64Map<int> map(16);
   std::vector<int64_t> keys;
   for (int64_t i = -8; i < 8; ++i) keys.push_back(i * kFib45);
@@ -110,6 +115,158 @@ TEST(FlatInt64MapTest, RepeatedFindOrInsertCountsLikeAMultiset) {
     const int64_t* v = map.Find(k);
     ASSERT_NE(v, nullptr) << k;
     EXPECT_EQ(*v, n) << k;
+  }
+}
+
+/// Checks `map` against `model` for every key in `domain`.
+void ExpectSameContents(const FlatInt64Map<int64_t>& map,
+                        const std::unordered_map<int64_t, int64_t>& model,
+                        const std::vector<int64_t>& domain) {
+  ASSERT_EQ(map.size(), model.size());
+  for (int64_t k : domain) {
+    const int64_t* v = map.Find(k);
+    auto it = model.find(k);
+    if (it == model.end()) {
+      EXPECT_EQ(v, nullptr) << k;
+    } else {
+      ASSERT_NE(v, nullptr) << k;
+      EXPECT_EQ(*v, it->second) << k;
+    }
+  }
+}
+
+TEST(FlatInt64MapTest, EraseFromACollisionRunThatWraps) {
+  std::vector<int64_t> keys;
+  for (int64_t i = -8; i < 8; ++i) keys.push_back(i * kFib45);
+  // Every erase order of a different shape: front to back, back to front,
+  // and a stride that alternates between the two piles.
+  const std::vector<std::vector<size_t>> orders = {
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+      {15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
+      {8, 0, 9, 1, 10, 2, 11, 3, 12, 4, 13, 5, 14, 6, 15, 7},
+  };
+  for (const auto& order : orders) {
+    FlatInt64Map<int64_t> map(keys.size());
+    std::unordered_map<int64_t, int64_t> model;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      *map.FindOrInsert(keys[i]).first = static_cast<int64_t>(i) + 1;
+      model[keys[i]] = static_cast<int64_t>(i) + 1;
+    }
+    for (size_t i : order) {
+      EXPECT_TRUE(map.Erase(keys[i])) << keys[i];
+      model.erase(keys[i]);
+      ExpectSameContents(map, model, keys);
+    }
+    EXPECT_EQ(map.size(), 0u);
+  }
+}
+
+TEST(FlatInt64MapTest, EraseOfAnAbsentKeyChangesNothing) {
+  FlatInt64Map<int64_t> map(4);
+  EXPECT_FALSE(map.Erase(42));
+  *map.FindOrInsert(3 * kFib45).first = 5;
+  *map.FindOrInsert(4 * kFib45).first = 6;
+  // Absent, but its home slot is inside the occupied run.
+  EXPECT_FALSE(map.Erase(5 * kFib45));
+  EXPECT_FALSE(map.Erase(0));
+  EXPECT_EQ(map.size(), 2u);
+  ASSERT_NE(map.Find(3 * kFib45), nullptr);
+  EXPECT_EQ(*map.Find(4 * kFib45), 6);
+}
+
+TEST(FlatInt64MapTest, ReinsertAfterEraseStartsFromAFreshValue) {
+  FlatInt64Map<int64_t> map(4);
+  *map.FindOrInsert(7).first = 70;
+  ASSERT_TRUE(map.Erase(7));
+  EXPECT_EQ(map.Find(7), nullptr);
+  EXPECT_FALSE(map.Erase(7)) << "a second erase finds nothing";
+  auto [v, inserted] = map.FindOrInsert(7);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*v, 0) << "an erased slot must not leak its old value";
+  EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(FlatInt64MapTest, ExtremeKeysEraseAndReinsert) {
+  const std::vector<int64_t> keys = {0, -1, kMin, kMax};
+  FlatInt64Map<int64_t> map(keys.size());
+  std::unordered_map<int64_t, int64_t> model;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      *map.FindOrInsert(keys[i]).first = round * 10 + static_cast<int>(i);
+      model[keys[i]] = round * 10 + static_cast<int>(i);
+    }
+    ExpectSameContents(map, model, keys);
+    // Erase a different pair each round, then the rest.
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const int64_t k = keys[(i + static_cast<size_t>(round)) % keys.size()];
+      EXPECT_TRUE(map.Erase(k)) << k;
+      model.erase(k);
+      ExpectSameContents(map, model, keys);
+    }
+  }
+}
+
+TEST(FlatInt64MapTest, ClearEmptiesAndKeepsTheCapacity) {
+  FlatInt64Map<int64_t> map(16);
+  std::vector<int64_t> keys = {0, -1, kMin, kMax};
+  for (int64_t i = 1; i <= 6; ++i) {
+    keys.push_back(i * kFib45);
+    keys.push_back(-i * kFib45);
+  }
+  for (int64_t k : keys) *map.FindOrInsert(k).first = k | 1;
+  const size_t cap = map.capacity();
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.capacity(), cap);
+  for (int64_t k : keys) EXPECT_EQ(map.Find(k), nullptr) << k;
+  map.Clear();  // clearing an empty table is a no-op
+  for (int64_t k : keys) {
+    auto [v, inserted] = map.FindOrInsert(k);
+    EXPECT_TRUE(inserted) << k;
+    EXPECT_EQ(*v, 0) << k;
+  }
+  EXPECT_EQ(map.size(), keys.size());
+}
+
+TEST(FlatInt64MapTest, RandomInsertEraseFindMatchesUnorderedMap) {
+  // A key domain three times the declared size, mixing extremes, a wrapping
+  // collision pile and small integers; the live set is capped at the
+  // declared size, so the run churns through long insert/erase sequences.
+  std::vector<int64_t> domain = {0, -1, kMin, kMax, kMin + 1, kMax - 1};
+  for (int64_t i = -10; i < 10; ++i) domain.push_back(i * kFib45);
+  while (domain.size() < 96) {
+    domain.push_back(static_cast<int64_t>(domain.size()) * 7 - 300);
+  }
+  constexpr size_t kDeclared = 32;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    FlatInt64Map<int64_t> map(kDeclared);
+    std::unordered_map<int64_t, int64_t> model;
+    for (int step = 0; step < 4000; ++step) {
+      const int64_t k = domain[rng.NextBounded(domain.size())];
+      const double roll = rng.NextDouble();
+      if (roll < 0.45 && model.size() < kDeclared) {
+        auto [v, inserted] = map.FindOrInsert(k);
+        ASSERT_EQ(inserted, model.count(k) == 0) << "step " << step;
+        ASSERT_EQ(*v, model[k]) << "step " << step;
+        *v = model[k] = step + 1;
+      } else if (roll < 0.9) {
+        ASSERT_EQ(map.Erase(k), model.erase(k) == 1) << "step " << step;
+      } else {
+        const int64_t* v = map.Find(k);
+        auto it = model.find(k);
+        ASSERT_EQ(v != nullptr, it != model.end()) << "step " << step;
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second) << "step " << step;
+        }
+      }
+      if (step % 97 == 0) ExpectSameContents(map, model, domain);
+      if (step == 2000) {
+        map.Clear();
+        model.clear();
+      }
+    }
+    ExpectSameContents(map, model, domain);
   }
 }
 

@@ -39,8 +39,10 @@ import sys
 
 KNOWN_CATEGORIES = {"exec", "io", "monitor", "op", "scan"}
 SNAKE = re.compile(r"^[a-z][a-z0-9]*(?:_[a-z0-9]+)*$")
+# Same list as the dpcf-metric-naming lint rule: a unit, or the Prometheus
+# `_info` suffix for constant gauges whose payload is a label.
 UNIT_SUFFIXES = ("_us", "_ms", "_seconds", "_bytes", "_pages", "_rows",
-                 "_ratio", "_factor", "_ops")
+                 "_ratio", "_factor", "_ops", "_info")
 SAMPLE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^}]*)\})?\s+(?P<value>\S+)$")
